@@ -549,11 +549,10 @@ func BenchmarkE12_CompactMemory(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var compact, flat int
 			for i := 0; i < b.N; i++ {
-				c, err := quaddiag.NewCompact(d)
-				if err != nil {
+				if _, err := d.Merge(); err != nil {
 					b.Fatal(err)
 				}
-				compact, flat = c.MemoryFootprint()
+				compact, flat = d.MemoryFootprint()
 			}
 			b.ReportMetric(float64(compact), "compact-bytes")
 			b.ReportMetric(float64(flat), "flat-bytes")

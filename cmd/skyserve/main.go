@@ -189,14 +189,14 @@ func main() {
 		if *in != "" {
 			log.Fatal("skyserve: -serve-from and -in are mutually exclusive")
 		}
-		st, err := store.OpenMmap(*serveFrom)
+		st, err := store.Open(*serveFrom)
 		if err != nil {
 			log.Fatalf("skyserve: -serve-from: %v", err)
 		}
 		defer st.Close()
 		mode := "mmap"
 		if !st.Mapped() {
-			mode = "buffered reads (mmap unavailable)"
+			mode = "a whole-file read (mmap unavailable)"
 		}
 		log.Printf("skyserve: serving %s diagram from %s via %s, read-only (epoch %d)",
 			st.Kind(), *serveFrom, mode, st.Epoch())

@@ -1,12 +1,12 @@
 // Disk-store: the deployment shape of a precomputation structure.
 //
 // A catalogue service precomputes the skyline diagram for its product
-// catalogue on a build machine, writes it to a paged binary file, and ships
-// the file to query replicas. A replica opens the file and answers skyline
-// queries straight from disk through a small LRU page cache — it never
-// rebuilds the diagram and never holds all of it in memory. Every page is
-// CRC-checked on load, so a corrupted file fails loudly instead of serving
-// wrong skylines.
+// catalogue on a build machine, writes it to one binary file, and ships the
+// file to query replicas. A replica memory-maps the file and answers skyline
+// queries straight from its bytes — it never rebuilds the diagram. The whole
+// file is verified once at open (checksums, section bounds, every cell's
+// label), so a corrupted file fails loudly instead of serving wrong
+// skylines.
 package main
 
 import (
@@ -65,22 +65,18 @@ func main() {
 	fmt.Printf("replica: shopper at (%.0f, %.0f) sees %d frontier products\n",
 		q.X(), q.Y(), len(ids))
 
-	// A burst of shoppers, answered with page-ordered batched reads.
+	// A burst of shoppers.
 	queries := make([]geom.Point, 2000)
+	results := make([][]int32, len(queries))
+	total := 0
 	for i := range queries {
 		queries[i] = geom.Pt2(-1, float64((i*37)%512)+0.5, float64((i*91)%512)+0.5)
+		if results[i], err = replica.Query(queries[i]); err != nil {
+			log.Fatal(err)
+		}
+		total += len(results[i])
 	}
-	results, err := replica.QueryBatch(queries)
-	if err != nil {
-		log.Fatal(err)
-	}
-	total := 0
-	for _, r := range results {
-		total += len(r)
-	}
-	hits, misses := replica.CacheStats()
-	fmt.Printf("replica: %d queries answered (%d result rows), page cache %d hits / %d misses\n",
-		len(queries), total, hits, misses)
+	fmt.Printf("replica: %d queries answered (%d result rows)\n", len(queries), total)
 
 	// Verify against the in-memory diagram.
 	for i, qq := range queries[:200] {

@@ -746,14 +746,14 @@ func E12(c Config) Table {
 			if err != nil {
 				panic(err)
 			}
-			comp, err := quaddiag.NewCompact(d)
+			part, err := d.Merge()
 			if err != nil {
 				panic(err)
 			}
-			cBytes, fBytes := comp.MemoryFootprint()
+			cBytes, fBytes := d.MemoryFootprint()
 			t.Rows = append(t.Rows, []string{
 				dist.String(), fmt.Sprint(n), fmt.Sprint(d.Grid.NumCells()),
-				fmt.Sprint(comp.NumPolyominoes()), fmt.Sprint(fBytes), fmt.Sprint(cBytes),
+				fmt.Sprint(part.NumRegions), fmt.Sprint(fBytes), fmt.Sprint(cBytes),
 				fmt.Sprintf("%.1fx", float64(fBytes)/float64(cBytes)),
 			})
 		}

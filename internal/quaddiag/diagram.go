@@ -173,6 +173,13 @@ func (d *Diagram) MemoryFootprint() (interned, flat int) {
 	return interned, flat
 }
 
+// sliceBytes is the memory a flat per-cell []int32 result holds: its slice
+// header plus its ids.
+func sliceBytes(r []int32) int {
+	const sliceHeader = 24
+	return sliceHeader + 4*len(r)
+}
+
 // Stats summarises a diagram for the E6 experiment table.
 type Stats struct {
 	N           int

@@ -247,6 +247,32 @@ func TestSweepingPartitionMatchesMerged(t *testing.T) {
 	}
 }
 
+// TestCompactSavesMemory: the interned representation (labels plus one copy
+// of each distinct result) is far smaller than the flat per-cell one, because
+// cells greatly outnumber the polyominoes they merge into.
+func TestCompactSavesMemory(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	pts := genGP(rng, 150)
+	d, err := BuildScanning(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact, flat := d.MemoryFootprint()
+	if compact >= flat {
+		t.Fatalf("compact %d bytes >= flat %d bytes", compact, flat)
+	}
+	if ratio := float64(flat) / float64(compact); ratio < 2 {
+		t.Fatalf("compression ratio %.2f, expected >= 2", ratio)
+	}
+	part, err := d.Merge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if part.NumRegions <= 0 || part.NumRegions > d.Grid.NumCells() {
+		t.Fatalf("NumRegions = %d", part.NumRegions)
+	}
+}
+
 func TestSweepingRingAndCornerCount(t *testing.T) {
 	// #polyominoes = n + #{(q,p) : q.x < p.x, q.y > p.y} and the merged
 	// partition has exactly one extra region (the empty up-right region).

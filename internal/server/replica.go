@@ -322,7 +322,7 @@ func (r *Replica) fetch(ctx context.Context, epoch uint64) (*store.Store, string
 		return nil, "", fmt.Errorf("snapshot publish: %w", cpErr)
 	}
 
-	st, err := store.OpenMmap(final)
+	st, err := store.Open(final)
 	if err != nil {
 		// Torn or corrupt download — the CRC trailer catches truncation the
 		// transport didn't surface. Drop it; the next tick refetches.
@@ -385,7 +385,7 @@ func (r *Replica) openCached() (*store.Store, string) {
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].epoch > cands[j].epoch })
 	for _, c := range cands {
-		st, err := store.OpenMmap(c.path)
+		st, err := store.Open(c.path)
 		if err != nil {
 			os.Remove(c.path) // corrupt cache entry; drop it
 			continue

@@ -28,7 +28,7 @@ func newServeFromServer(t *testing.T) (*httptest.Server, *store.Store) {
 	if err := store.CreateFile(path, d); err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.OpenMmap(path)
+	st, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@
 // serving shape of the paper's precompute-then-lookup design: one process
 // builds the diagrams, every replica answers skyline queries with a point
 // location each. A replica can skip the build entirely: NewServeFrom
-// serves a persisted diagram file (ideally memory-mapped via
-// store.OpenMmap) as a read-only snapshot — only the file's kind is
+// serves a persisted diagram file (memory-mapped by store.Open) as a
+// read-only snapshot — only the file's kind is
 // served, writes answer 501.
 //
 // Endpoints:
@@ -360,7 +360,7 @@ func New(pts []geom.Point, cfg Config) (*Handler, error) {
 }
 
 // NewServeFrom serves skyline queries directly from a persisted diagram
-// file opened as st — typically via store.OpenMmap, so the snapshot IS the
+// file opened as st — typically via store.Open, so the snapshot IS the
 // mapped file: no diagram build, no materialization, queries resolve by
 // rank-table point location plus a label load from the mapping. Only the
 // file's kind is served (the file holds exactly one diagram); other kinds

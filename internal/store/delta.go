@@ -25,7 +25,7 @@
 // from the delta, the patched file's CRC would not match the manifest CRC, and
 // ApplyDelta rejects the patch (the caller then falls back to a full fetch).
 // A patch that somehow survived ApplyDelta still has to pass the store's own
-// CRC trailer at OpenMmap, exactly like a downloaded file.
+// CRC trailer at Open, exactly like a downloaded file.
 package store
 
 import (
@@ -53,7 +53,7 @@ const (
 // later requests can be answered with a delta. It holds no file bytes: for a
 // 4 KiB page size it costs ~0.2% of the file it describes.
 type Manifest struct {
-	Epoch uint64 // replication epoch from the v4 header (0 for v3 files)
+	Epoch uint64 // replication epoch from the header
 	Kind  string // "quadrant" or "dynamic"
 	Size  int64  // total file size in bytes
 	CRC   uint32 // CRC32 (IEEE) of the entire file
@@ -68,9 +68,7 @@ type deltaSection struct {
 }
 
 // NewManifest parses the section boundaries out of a serialized store file
-// and hashes its pages. The file must be a CSR-format file (version >= 3):
-// legacy variable-length page layouts have no fixed arena boundary and are
-// simply not delta-eligible.
+// and hashes its pages. Any version other than the current one is refused.
 func NewManifest(data []byte) (*Manifest, error) {
 	secs, kind, epoch, err := deltaSections(data)
 	if err != nil {
@@ -104,15 +102,13 @@ func deltaSections(data []byte) (secs [deltaNumSections]deltaSection, kind strin
 	if string(data[0:8]) != magic {
 		return secs, "", 0, fmt.Errorf("%w: delta: bad magic %q", ErrCorrupt, data[0:8])
 	}
-	v := int(be.Uint32(data[8:]))
-	if v < 3 || v > version {
+	if v := be.Uint32(data[8:]); v != version {
 		return secs, "", 0, fmt.Errorf("store: delta: version %d not delta-eligible", v)
 	}
-	hdrSize := int64(headerSizeFor(v))
 	numPages := int64(be.Uint64(data[36:]))
 	indexOff := int64(be.Uint64(data[44:]))
 	pagesOff := int64(be.Uint64(data[52:]))
-	arenaOff := pagesOff + numPages*4*CellsPerPage
+	arenaOff := pagesOff + numPages*pageBytes
 	switch int(be.Uint32(data[60:])) {
 	case kindQuadrant:
 		kind = "quadrant"
@@ -121,9 +117,7 @@ func deltaSections(data []byte) (secs [deltaNumSections]deltaSection, kind strin
 	default:
 		return secs, "", 0, fmt.Errorf("%w: delta: unknown kind %d", ErrCorrupt, be.Uint32(data[60:]))
 	}
-	if hdrSize >= headerSizeV4 {
-		epoch = be.Uint64(data[64:])
-	}
+	epoch = be.Uint64(data[64:])
 	// The arena opens with #results, #ids; the offsets table (#results+1
 	// uint32s) follows, then the ids array. Splitting there keeps an appended
 	// result from shifting the ids array off its page grid.
@@ -131,7 +125,7 @@ func deltaSections(data []byte) (secs [deltaNumSections]deltaSection, kind strin
 		return secs, "", 0, fmt.Errorf("%w: delta: arena offset %d outside %d-byte file", ErrCorrupt, arenaOff, size)
 	}
 	idsOff := arenaOff + 8 + 4*(int64(be.Uint32(data[arenaOff:]))+1)
-	bounds := [deltaNumSections + 1]int64{0, hdrSize, indexOff, pagesOff, arenaOff, idsOff, size}
+	bounds := [deltaNumSections + 1]int64{0, headerSize, indexOff, pagesOff, arenaOff, idsOff, size}
 	for i := 0; i < deltaNumSections; i++ {
 		if bounds[i+1] < bounds[i] || bounds[i+1] > size {
 			return secs, "", 0, fmt.Errorf("%w: delta: section bounds %v out of order for %d-byte file", ErrCorrupt, bounds, size)
@@ -244,7 +238,7 @@ func IsDelta(body []byte) bool {
 // and returns the new file bytes. Every failure mode — wrong base, torn body,
 // bit flip anywhere, hash collision in the encoder — surfaces as an error
 // here: the final whole-file CRC comparison is the catch-all. The returned
-// bytes still carry the store's own CRC trailer, so OpenMmap re-verifies them
+// bytes still carry the store's own CRC trailer, so Open re-verifies them
 // independently after the caller persists the patch.
 func ApplyDelta(base, delta []byte) ([]byte, error) {
 	be := binary.BigEndian

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -238,16 +239,19 @@ func TestDeltaCorruptionMatrix(t *testing.T) {
 	}
 }
 
-// TestDeltaLegacyVersionNotEligible pins that pre-CSR files refuse manifest
-// construction instead of producing undefined section boundaries.
+// TestDeltaLegacyVersionNotEligible pins that a file of any other version
+// refuses manifest construction instead of producing undefined section
+// boundaries.
 func TestDeltaLegacyVersionNotEligible(t *testing.T) {
 	d := buildDiagram(t, 20, 81)
-	pts, cells := d.Export()
 	var buf bytes.Buffer
-	if err := writeLegacyCells(&buf, pts, cells, d.Grid.Cols(), d.Grid.Rows(), kindQuadrant); err != nil {
+	if err := Write(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewManifest(buf.Bytes()); err == nil {
-		t.Fatal("version 2 file must not be delta-eligible")
+	v3 := append([]byte(nil), buf.Bytes()...)
+	binary.BigEndian.PutUint32(v3[8:], 3)
+	reseal(v3)
+	if _, err := NewManifest(v3); err == nil {
+		t.Fatal("version 3 file must not be delta-eligible")
 	}
 }

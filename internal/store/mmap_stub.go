@@ -7,8 +7,8 @@ import (
 	"os"
 )
 
-// Platforms without the unix mmap syscalls: OpenMmap degrades gracefully to
-// the ReadAt page-cache path.
+// Platforms without the unix mmap syscalls: Open reads the whole file into
+// memory instead.
 func mmapFile(_ *os.File, _ int64) ([]byte, error) {
 	return nil, errors.ErrUnsupported
 }

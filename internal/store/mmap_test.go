@@ -10,34 +10,46 @@ import (
 	"repro/internal/geom"
 )
 
+// openInMemory opens the file at path through New over a copy of its bytes —
+// the store Open falls back to where mapping is unavailable.
+func openInMemory(t *testing.T, path string) *Store {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestMmapServesIdenticalAnswers: a mapped store must answer exactly like
-// the ReadAt store over every cell, Query, QueryXY, and QueryBatch — and on
-// this platform it must actually be mapped, not silently falling back.
+// an in-memory store over the same bytes on every cell, Query, and QueryXY —
+// and on this platform it must actually be mapped, not silently falling
+// back.
 func TestMmapServesIdenticalAnswers(t *testing.T) {
 	d := buildDiagram(t, 60, 61)
 	path := filepath.Join(t.TempDir(), "diag.sky")
 	if err := CreateFile(path, d); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	mm, err := OpenMmap(path)
+	mem := openInMemory(t, path)
+	mm, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mm.Close()
-	if !mm.Mapped() {
-		t.Fatal("OpenMmap fell back to ReadAt on a platform with mmap")
+	if !mm.Mapped() || mem.Mapped() {
+		t.Fatalf("Mapped: Open %v, New %v; want true, false", mm.Mapped(), mem.Mapped())
 	}
 	if mm.Kind() != "quadrant" {
 		t.Fatalf("Kind = %q, want quadrant", mm.Kind())
 	}
 	for i := 0; i < d.Grid.Cols(); i++ {
 		for j := 0; j < d.Grid.Rows(); j++ {
-			a, err := rd.Cell(i, j)
+			a, err := mem.Cell(i, j)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,29 +57,26 @@ func TestMmapServesIdenticalAnswers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !equalI32(a, b) {
-				t.Fatalf("cell (%d,%d): ReadAt %v, mmap %v", i, j, a, b)
+			if !equalI32(a, b) || !equalI32(a, d.Cell(i, j)) {
+				t.Fatalf("cell (%d,%d): in-memory %v, mmap %v, diagram %v", i, j, a, b, d.Cell(i, j))
 			}
 		}
 	}
-	qs := make([]geom.Point, 0, 200)
 	for k := 0; k < 200; k++ {
-		qs = append(qs, geom.Pt2(-1, float64(k%101), float64((k*37)%103)))
-	}
-	ra, err := rd.QueryBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := mm.QueryBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range qs {
-		if !equalI32(ra[k], rb[k]) {
-			t.Fatalf("batch query %d: ReadAt %v, mmap %v", k, ra[k], rb[k])
+		q := geom.Pt2(-1, float64(k%101), float64((k*37)%103))
+		want, err := mem.Query(q)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := mm.QueryXY(qs[k].X(), qs[k].Y()); !equalI32(got, ra[k]) {
-			t.Fatalf("QueryXY %d: mmap %v, want %v", k, got, ra[k])
+		got, err := mm.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalI32(got, want) {
+			t.Fatalf("query %d: in-memory %v, mmap %v", k, want, got)
+		}
+		if got := mm.QueryXY(q.X(), q.Y()); !equalI32(got, want) {
+			t.Fatalf("QueryXY %d: mmap %v, want %v", k, got, want)
 		}
 	}
 }
@@ -80,7 +89,7 @@ func TestMmapQueryXYZeroAllocs(t *testing.T) {
 	if err := CreateFile(path, d); err != nil {
 		t.Fatal(err)
 	}
-	mm, err := OpenMmap(path)
+	mm, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,17 +118,13 @@ func TestMmapDynamicKind(t *testing.T) {
 	if err := CreateFileDynamic(path, d); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	mm, err := OpenMmap(path)
+	rd := openInMemory(t, path)
+	mm, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mm.Close()
-	if mm.Kind() != "dynamic" {
+	if mm.Kind() != "dynamic" || rd.Kind() != "dynamic" {
 		t.Fatalf("Kind = %q, want dynamic", mm.Kind())
 	}
 	for k := 0; k < 300; k++ {
@@ -129,16 +134,16 @@ func TestMmapDynamicKind(t *testing.T) {
 			t.Fatal(err)
 		}
 		if b := mm.QueryXY(x, y); !equalI32(a, b) {
-			t.Fatalf("dynamic query (%v,%v): ReadAt %v, mmap %v", x, y, a, b)
+			t.Fatalf("dynamic query (%v,%v): in-memory %v, mmap %v", x, y, a, b)
 		}
 	}
 }
 
-// TestMmapEquivalenceOverCorruptionMatrix runs OpenMmap against the same
-// torn-write and bit-rot matrix the ReadAt path is hardened against: for
-// every truncation point and every probed single-byte flip, OpenMmap must
-// reach the same accept/reject verdict as Open — mapped serving must not
-// widen the corruption acceptance surface by a single byte.
+// TestMmapEquivalenceOverCorruptionMatrix runs the mapped path (Open) and
+// the in-memory path (New over the same bytes) against the torn-write and
+// bit-rot matrix: for every truncation point and every probed single-byte
+// flip both must reach the same accept/reject verdict — mapped serving must
+// not widen the corruption acceptance surface by a single byte.
 func TestMmapEquivalenceOverCorruptionMatrix(t *testing.T) {
 	gen := buildDiagram(t, 15, 73)
 	path := filepath.Join(t.TempDir(), "diag.sky")
@@ -155,13 +160,10 @@ func TestMmapEquivalenceOverCorruptionMatrix(t *testing.T) {
 		if err := os.WriteFile(p, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		so, oerr := Open(p)
-		sm, merr := OpenMmap(p)
-		if (oerr == nil) != (merr == nil) {
-			t.Fatalf("%s: Open err %v, OpenMmap err %v — verdicts diverge", name, oerr, merr)
-		}
-		if so != nil {
-			so.Close()
+		sm, merr := Open(p)
+		_, nerr := New(append([]byte(nil), b...))
+		if (merr == nil) != (nerr == nil) {
+			t.Fatalf("%s: Open err %v, New err %v — verdicts diverge", name, merr, nerr)
 		}
 		if sm != nil {
 			sm.Close()
@@ -188,9 +190,9 @@ func TestMmapEquivalenceOverCorruptionMatrix(t *testing.T) {
 	check("pristine.sky", raw)
 }
 
-// TestOpenMmapErrorPathsDoNotLeakFDs extends the fd-leak audit to OpenMmap:
-// every rejection (corrupt header, bad trailer, truncation) must unmap and
-// close on the way out.
+// TestOpenMmapErrorPathsDoNotLeakFDs extends the fd-leak audit to the mapped
+// path, through its OpenMmap name: every rejection (corrupt header, bad
+// trailer, truncation) must unmap and close on the way out.
 func TestOpenMmapErrorPathsDoNotLeakFDs(t *testing.T) {
 	d := buildDiagram(t, 20, 79)
 	dir := t.TempDir()

@@ -8,9 +8,8 @@ import (
 	"syscall"
 )
 
-// mmapFile maps size bytes of f read-only. The mapping is independent of the
-// file descriptor's lifetime, but the store keeps the descriptor open anyway
-// so the ReadAt fallback path stays usable.
+// mmapFile maps size bytes of f read-only. The mapping outlives the file
+// descriptor, so Open closes it straight away.
 func mmapFile(f *os.File, size int64) ([]byte, error) {
 	if size <= 0 || int64(int(size)) != size {
 		return nil, fmt.Errorf("store: cannot map %d bytes", size)

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -25,18 +24,9 @@ func probeQueries() []geom.Point {
 // mustAnswerAlike fails unless a and b agree on every probe query.
 func mustAnswerAlike(t *testing.T, a, b *Store) {
 	t.Helper()
-	qs := probeQueries()
-	ra, err := a.QueryBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := b.QueryBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range qs {
-		if !equalI32(ra[k], rb[k]) {
-			t.Fatalf("query %d (%v): %v vs %v", k, qs[k].Coords, ra[k], rb[k])
+	for k, q := range probeQueries() {
+		if ra, rb := a.QueryXY(q.X(), q.Y()), b.QueryXY(q.X(), q.Y()); !equalI32(ra, rb) {
+			t.Fatalf("query %d (%v): %v vs %v", k, q.Coords, ra, rb)
 		}
 	}
 }
@@ -45,8 +35,8 @@ func mustAnswerAlike(t *testing.T, a, b *Store) {
 // crashed replica-style deployment hits: the only write ever attempted died
 // between the temp fsync and the rename, Recover salvages the complete temp
 // into place, and the serving path then memory-maps the salvaged file. The
-// mapped store must carry the generation's epoch and answer exactly like the
-// ReadAt store.
+// mapped store must carry the generation's epoch and answer exactly like an
+// in-memory store over the same bytes.
 func TestRecoverThenMmapSalvagedTemp(t *testing.T) {
 	defer faultinject.Deactivate()
 	gen := buildDiagram(t, 40, 81)
@@ -71,29 +61,24 @@ func TestRecoverThenMmapSalvagedTemp(t *testing.T) {
 	}
 	s.Close()
 
-	mm, err := OpenMmap(path)
+	mm, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mm.Close()
 	if !mm.Mapped() {
-		t.Fatal("OpenMmap fell back to ReadAt on a platform with mmap")
+		t.Fatal("Open fell back to reading the file on a platform with mmap")
 	}
 	if got := mm.Epoch(); got != 7 {
 		t.Fatalf("mapped epoch = %d, want 7", got)
 	}
-	rd, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	mustAnswerAlike(t, rd, mm)
+	mustAnswerAlike(t, openInMemory(t, path), mm)
 }
 
 // TestRecoverTornTempThenMmapOldGeneration: a rewrite tears mid-page, so the
 // published old generation must win. Recover discards the torn temp, and
-// OpenMmap of the surviving file serves the old generation at its old epoch
-// — never a blend of the two.
+// mapping the surviving file serves the old generation at its old epoch —
+// never a blend of the two.
 func TestRecoverTornTempThenMmapOldGeneration(t *testing.T) {
 	defer faultinject.Deactivate()
 	oldGen := buildDiagram(t, 30, 82)
@@ -125,7 +110,7 @@ func TestRecoverTornTempThenMmapOldGeneration(t *testing.T) {
 		t.Fatal("torn temp still present after Recover")
 	}
 
-	mm, err := OpenMmap(path)
+	mm, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,17 +119,12 @@ func TestRecoverTornTempThenMmapOldGeneration(t *testing.T) {
 		t.Fatalf("mapped store serves epoch %d with %d points, want old generation at 3",
 			mm.Epoch(), len(mm.Points()))
 	}
-	rd, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	mustAnswerAlike(t, rd, mm)
+	mustAnswerAlike(t, openInMemory(t, path), mm)
 }
 
 // TestEpochRoundTripAndByteFidelity pins the replication protocol's carrier:
-// the epoch stamped at write is readable through every open path (ReadAt,
-// mmap, in-memory), WriteEpoch and CreateFileEpoch emit identical bytes, and
+// the epoch stamped at write is readable through every open path (Open, its
+// OpenMmap name, in-memory New), WriteEpoch and CreateFileEpoch emit identical bytes, and
 // WriteTo re-streams a byte-identical snapshot — what lets a replica relay a
 // file it never built.
 func TestEpochRoundTripAndByteFidelity(t *testing.T) {
@@ -175,7 +155,7 @@ func TestEpochRoundTripAndByteFidelity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mm.Close()
-	mem, err := New(bytes.NewReader(disk), DefaultCacheSize)
+	mem, err := New(disk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +182,7 @@ func TestEpochRoundTripAndByteFidelity(t *testing.T) {
 	if err := WriteDynamicEpoch(&dbuf, dd, 9); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := New(bytes.NewReader(dbuf.Bytes()), DefaultCacheSize)
+	ds, err := New(dbuf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,48 +191,20 @@ func TestEpochRoundTripAndByteFidelity(t *testing.T) {
 	}
 }
 
-// TestPreEpochFilesReadAsEpochZero: files written before the epoch field
-// existed (and current files written without one) must report epoch 0 — the
-// "no generation" value replicas treat as always-stale.
+// TestPreEpochFilesReadAsEpochZero: files written without an epoch must
+// report epoch 0 — the "no generation" value replicas treat as
+// always-stale.
 func TestPreEpochFilesReadAsEpochZero(t *testing.T) {
 	d := buildDiagram(t, 20, 85)
-
-	// Current format, epochless Write.
 	var cur bytes.Buffer
 	if err := Write(&cur, d); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(bytes.NewReader(cur.Bytes()), 4)
+	s, err := New(cur.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Epoch(); got != 0 {
 		t.Fatalf("epochless current-format file: epoch = %d, want 0", got)
-	}
-
-	// Version 2: cell payloads plus trailer, no epoch field at all.
-	pts, cells := d.Export()
-	var v2 bytes.Buffer
-	if err := writeLegacyCells(&v2, pts, cells, d.Grid.Cols(), d.Grid.Rows(), kindQuadrant); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := New(bytes.NewReader(v2.Bytes()), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s2.Epoch(); got != 0 {
-		t.Fatalf("version-2 file: epoch = %d, want 0", got)
-	}
-
-	// Version 1: no trailer either.
-	v1 := append([]byte(nil), v2.Bytes()...)
-	v1 = v1[:len(v1)-trailerSize]
-	binary.BigEndian.PutUint32(v1[8:], 1)
-	s1, err := New(bytes.NewReader(v1), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s1.Epoch(); got != 0 {
-		t.Fatalf("version-1 file: epoch = %d, want 0", got)
 	}
 }

@@ -1,13 +1,12 @@
-// Package store persists skyline diagrams in a paged binary file and serves
-// point-location queries from disk through a small LRU page cache — the
-// deployment shape of a precomputation structure: build once on a beefy
-// machine, ship the file, query it on small ones without loading the whole
-// diagram into memory.
+// Package store persists skyline diagrams in one binary file and serves
+// point-location queries straight from its bytes — the deployment shape of a
+// precomputation structure: build once on a beefy machine, ship the file,
+// map it on small ones and answer queries with no build step.
 //
 // File layout (all integers big-endian), format version 4:
 //
 //	header   magic "SKYDSTO1", version, dim, #points, cols, rows,
-//	         cellsPerPage, #pages, section offsets, epoch
+//	         cellsPerPage, #pages, section offsets, epoch, 8 reserved bytes
 //	points   id:int64, coords: dim × float64  (grid lines are rebuilt from
 //	         these on open, exactly as the in-memory constructors do)
 //	index    per page: offset:uint64, length:uint32, crc32:uint32
@@ -19,33 +18,21 @@
 //	         ids: #ids × uint32, crc32 of the section
 //	trailer  magic "SKYDEND1", crc32 of every preceding byte
 //
-// The arena is loaded (and checksummed) once at open; label pages go through
-// the page cache, and Cell resolves a label to a subslice of the arena — no
-// per-cell [][]int32 is ever materialized, and a cache-hit read allocates
-// nothing. Earlier formats still open read-compatibly: version 3 is version 4
-// minus the epoch field (a 64-byte header, epoch reads as 0), and version 2
-// (plus the trailer-less version 1) pages carry per-cell id payloads which
-// are decoded per read, exactly as before.
+// The epoch is the replication generation assigned by the builder that
+// published the file. Replicas negotiate snapshot transfers by epoch (fetch
+// only when the builder is ahead) and routers use it to measure staleness;
+// the trailer CRC covers it like every other header byte, so a flipped epoch
+// is ErrCorrupt, not a silent time warp. No other version opens.
 //
-// Version 4 widens the header to 80 bytes and stamps the file with a
-// replication epoch: a monotonically increasing snapshot generation assigned
-// by the builder that published the file. Replicas negotiate snapshot
-// transfers by epoch (fetch only when the builder is ahead) and routers use
-// it to measure staleness; Epoch returns it, and the whole-file trailer CRC
-// covers it like every other header byte, so a flipped epoch is ErrCorrupt,
-// not a silent time warp.
-//
-// Every page is CRC-checked on load, and opening a version-2+ file of known
-// size verifies the full-file checksum trailer first, so silent corruption —
-// including a torn write that stopped mid-file — turns into ErrCorrupt
-// instead of a wrong skyline.
-//
-// OpenMmap serves the same file zero-copy from a read-only memory map: label
-// pages become subslices of the map (no cache, no lock, no per-read CRC —
-// the trailer verification at open covers them), point location is O(1) via
-// rank tables over the rebuilt grid lines, and QueryXY answers with zero
-// allocations. That makes a persisted v3 file directly servable: a replica
-// maps it and answers queries with no build and no materialization step.
+// A Store is the whole file as one byte slice — a read-only memory map from
+// Open, or any slice handed to New — verified once when it is opened: the
+// trailer CRC, every page CRC in the index, the arena CRC, every section
+// bound, and every label (in range for a real cell, 0xFFFFFFFF exactly in the
+// padding). Silent corruption, including a torn write that stopped mid-file,
+// turns into ErrCorrupt there instead of a wrong skyline later. After that
+// nothing can fail: point location is O(1) via rank tables over the rebuilt
+// grid lines, a label is one load from the page bytes, and QueryXY answers
+// with zero allocations and no lock, aliasing the decoded arena.
 //
 // CreateFile is crash-safe: it writes to a temporary file in the target's
 // directory, fsyncs it, renames it into place, and fsyncs the directory, so
@@ -57,7 +44,6 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -67,7 +53,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -82,33 +67,27 @@ import (
 const (
 	magic   = "SKYDSTO1"
 	version = 4
-	// versionNoEpoch is the epoch-less CSR format: identical to version 4
-	// except for the shorter header. Still opened (epoch reads as 0).
-	versionNoEpoch = 3
-	// versionLegacyCells is the last format whose pages carry per-cell id
-	// payloads instead of labels; kept writable so the read-compat promise
-	// stays executable in tests.
-	versionLegacyCells = 2
-	headerSize         = 64
-	// headerSizeV4 adds the epoch (uint64) plus 8 reserved zero bytes.
-	headerSizeV4 = 80
+	// headerSize covers the fixed fields (64 bytes), the epoch (uint64) and
+	// 8 reserved zero bytes.
+	headerSize   = 80
 	indexEntrySz = 16
-	// trailerMagic ends every version-2+ file, followed by a CRC32 of all
-	// preceding bytes.
+	// trailerMagic ends every file, followed by a CRC32 of all preceding
+	// bytes.
 	trailerMagic = "SKYDEND1"
 	trailerSize  = 12
 	// noCell pads label pages past the diagram's last cell.
 	noCell = 0xFFFFFFFF
-	// CellsPerPage balances page size (decode cost) against index size.
+	// CellsPerPage is the number of labels per page, the unit the index
+	// checksums.
 	CellsPerPage = 256
-	// DefaultCacheSize is the number of decoded pages kept in memory.
-	DefaultCacheSize = 64
+	pageBytes    = 4 * CellsPerPage
 )
 
 // ErrCorrupt marks a file whose bytes are structurally or checksum-wise
-// wrong: torn writes, flipped bits, truncation. I/O failures (a ReadAt
-// error) are returned as-is and do NOT wrap ErrCorrupt, so callers can tell
-// a poisoned file (rebuild or restore it) from a flaky disk (retry).
+// wrong: torn writes, flipped bits, truncation, out-of-range labels. I/O
+// failures (reading or mapping the file) are returned as-is and do NOT wrap
+// ErrCorrupt, so callers can tell a poisoned file (rebuild or restore it)
+// from a flaky disk (retry).
 var ErrCorrupt = errors.New("store: corrupt file")
 
 // Diagram kinds stored in the header.
@@ -117,8 +96,8 @@ const (
 	kindDynamic  = 2
 )
 
-// Write serialises a quadrant diagram to w in the current (version 4,
-// interned CSR) format with epoch 0 (an unversioned snapshot).
+// Write serialises a quadrant diagram to w with epoch 0 (an unversioned
+// snapshot).
 func Write(w io.Writer, d *quaddiag.Diagram) error {
 	return WriteEpoch(w, d, 0)
 }
@@ -160,8 +139,8 @@ func canonicalCSR(labels []uint32, table *resultset.Table) bool {
 	return int(next) == table.NumResults()
 }
 
-// writeCSR writes the version-4 format: fixed-size label pages plus one
-// arena section holding the interned result table.
+// writeCSR writes the file: fixed-size label pages plus one arena section
+// holding the interned result table.
 //
 // The live frozen table is reused verbatim when it is already canonical (a
 // fresh build). A maintained snapshot is canonicalized first with a pure
@@ -185,10 +164,10 @@ func writeCSR(w io.Writer, pts []geom.Point, labels []uint32, table *resultset.T
 	sum := crc32.NewIEEE()
 	bw := io.MultiWriter(raw, sum)
 	be := binary.BigEndian
-	// Label pages: fixed 4·CellsPerPage bytes, noCell padding past the end.
+	// Label pages: fixed pageBytes each, noCell padding past the end.
 	pages := make([][]byte, numPages)
 	for pg := range pages {
-		page := make([]byte, 4*CellsPerPage)
+		page := make([]byte, pageBytes)
 		for k := 0; k < CellsPerPage; k++ {
 			idx := pg*CellsPerPage + k
 			if idx < len(labels) {
@@ -199,55 +178,24 @@ func writeCSR(w io.Writer, pts []geom.Point, labels []uint32, table *resultset.T
 		}
 		pages[pg] = page
 	}
-	arena := encodeArena(table)
-	if err := writeSections(raw, bw, pts, pages, cols, rows, kind, version, arena, epoch); err != nil {
+	if err := writeSections(raw, bw, pts, pages, cols, rows, kind, encodeArena(table), epoch); err != nil {
 		return err
 	}
 	return finishTrailer(raw, sum)
 }
 
-// writeLegacyCells writes the version-2 cell-payload format. Production code
-// always writes version 3; this path keeps the "old files still open"
-// promise executable in tests and lets operators regenerate a v2 file for
-// rollback.
-func writeLegacyCells(w io.Writer, pts []geom.Point, cells [][]int32, cols, rows, kind int) error {
-	numPages := (len(cells) + CellsPerPage - 1) / CellsPerPage
-	if len(cells) == 0 {
-		return fmt.Errorf("store: diagram has no cells")
-	}
-	raw := bufio.NewWriter(w)
-	sum := crc32.NewIEEE()
-	bw := io.MultiWriter(raw, sum)
-	pages := make([][]byte, numPages)
-	for pg := 0; pg < numPages; pg++ {
-		start := pg * CellsPerPage
-		end := start + CellsPerPage
-		if end > len(cells) {
-			end = len(cells)
-		}
-		pages[pg] = encodePage(cells[start:end])
-	}
-	if err := writeSections(raw, bw, pts, pages, cols, rows, kind, versionLegacyCells, nil, 0); err != nil {
-		return err
-	}
-	return finishTrailer(raw, sum)
-}
-
-// writeSections writes header, points, page index, pages, and the optional
-// arena section through bw (raw is flushed on an injected page fault to
-// leave the torn prefix behind, as a crash would).
-func writeSections(raw *bufio.Writer, bw io.Writer, pts []geom.Point, pages [][]byte, cols, rows, kind int, v uint32, arena []byte, epoch uint64) error {
+// writeSections writes header, points, page index, pages, and the arena
+// section through bw (raw is flushed on an injected page fault to leave the
+// torn prefix behind, as a crash would).
+func writeSections(raw *bufio.Writer, bw io.Writer, pts []geom.Point, pages [][]byte, cols, rows, kind int, arena []byte, epoch uint64) error {
 	be := binary.BigEndian
-	hdrSize := headerSizeFor(int(v))
 	pointsSize := len(pts) * (8 + 8*dimOf(pts))
-	indexOffset := hdrSize + pointsSize
+	indexOffset := headerSize + pointsSize
 	pagesOffset := indexOffset + len(pages)*indexEntrySz
 
-	// Header. Version 4 appends the epoch and 8 reserved zero bytes; every
-	// earlier field sits at the same offset in all versions.
-	hdr := make([]byte, hdrSize)
+	hdr := make([]byte, headerSize)
 	copy(hdr[0:8], magic)
-	be.PutUint32(hdr[8:], v)
+	be.PutUint32(hdr[8:], version)
 	be.PutUint32(hdr[12:], uint32(dimOf(pts)))
 	be.PutUint64(hdr[16:], uint64(len(pts)))
 	be.PutUint32(hdr[24:], uint32(cols))
@@ -257,9 +205,7 @@ func writeSections(raw *bufio.Writer, bw io.Writer, pts []geom.Point, pages [][]
 	be.PutUint64(hdr[44:], uint64(indexOffset))
 	be.PutUint64(hdr[52:], uint64(pagesOffset))
 	be.PutUint32(hdr[60:], uint32(kind))
-	if hdrSize >= headerSizeV4 {
-		be.PutUint64(hdr[64:], epoch)
-	}
+	be.PutUint64(hdr[64:], epoch)
 	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
@@ -305,13 +251,9 @@ func writeSections(raw *bufio.Writer, bw io.Writer, pts []geom.Point, pages [][]
 		}
 	}
 
-	// Arena (version 3 only), placed directly after the last page.
-	if arena != nil {
-		if _, err := bw.Write(arena); err != nil {
-			return err
-		}
-	}
-	return nil
+	// Arena, placed directly after the last page.
+	_, err := bw.Write(arena)
+	return err
 }
 
 // finishTrailer appends the whole-file checksum trailer (not part of its own
@@ -347,48 +289,11 @@ func encodeArena(t *resultset.Table) []byte {
 	return buf
 }
 
-// headerSizeFor returns the on-disk header size of a format version: 80
-// bytes from version 4 (epoch + reserved), 64 before.
-func headerSizeFor(v int) int {
-	if v >= 4 {
-		return headerSizeV4
-	}
-	return headerSize
-}
-
 func dimOf(pts []geom.Point) int {
 	if len(pts) == 0 {
 		return 2
 	}
 	return pts[0].Dim()
-}
-
-// encodePage lays out up to CellsPerPage cells: local offset table, then
-// payloads.
-func encodePage(cells [][]int32) []byte {
-	be := binary.BigEndian
-	headSize := 4 * CellsPerPage
-	size := headSize
-	for _, c := range cells {
-		size += 4 + 4*len(c)
-	}
-	page := make([]byte, size)
-	off := headSize
-	for k := 0; k < CellsPerPage; k++ {
-		if k < len(cells) {
-			be.PutUint32(page[4*k:], uint32(off))
-			c := cells[k]
-			be.PutUint32(page[off:], uint32(len(c)))
-			off += 4
-			for _, id := range c {
-				be.PutUint32(page[off:], uint32(id))
-				off += 4
-			}
-		} else {
-			be.PutUint32(page[4*k:], 0xFFFFFFFF) // no such cell
-		}
-	}
-	return page
 }
 
 // TempSuffix is appended to the target path for the intermediate file
@@ -495,295 +400,209 @@ func Recover(path string) (*Store, error) {
 	return nil, err
 }
 
-// Store serves queries from a diagram file.
+// Store serves queries from a diagram file held as one byte slice.
 type Store struct {
-	r      io.ReaderAt
-	closer io.Closer
+	// data is the whole file; mapped reports whether it is a read-only
+	// memory map that Close must release.
+	data   []byte
+	mapped bool
 
-	version    int
-	dim        int
 	kind       int
 	cols, rows int
-	numPages   int
 	// epoch is the replication generation stamped by the builder that
-	// published this snapshot (version 4+; 0 for earlier formats).
+	// published this snapshot.
 	epoch uint64
-	// size is the file length in bytes when it was known at open, -1
-	// otherwise; WriteTo needs it to re-stream the snapshot to a peer.
-	size      int64
-	pageIndex []pageMeta
-	xs, ys    []float64
-	// xrank/yrank are O(1) point-location tables over xs/ys (see grid.Rank),
-	// so a stored-diagram query is two array loads plus a label indirection.
+	// labels is the label-page section of data: one big-endian uint32 per
+	// cell in row-major order, every one checked against table at open.
+	labels []byte
+	// xrank/yrank are O(1) point-location tables over the rebuilt grid lines
+	// (see grid.Rank), so a stored-diagram query is two array loads plus a
+	// label indirection.
 	xrank, yrank *grid.Rank
 	points       []geom.Point
-	// table is the interned result arena, loaded eagerly for version-3
-	// files; Cell resolves a page's label into it without copying.
+	// table is the interned result arena, decoded once at open (the file is
+	// big-endian, so it cannot be aliased on little-endian hosts); Cell
+	// resolves a label into it without copying.
 	table *resultset.Table
-
-	// mapped, when non-nil, is the read-only memory map of the whole file
-	// (OpenMmap). Pages are served as subslices of it — no cache, no mutex,
-	// no per-read CRC: the whole-file trailer checksum was verified at open,
-	// which transitively covers every page. Only set for version >= 2 files
-	// (version 1 has no trailer, so it keeps the per-page-CRC cache path).
-	mapped   []byte
-	unmapper func([]byte) error
 
 	// active counts in-flight queries so Close can drain them before
 	// unmapping: a replica that swapped in a newer snapshot closes the old
 	// store while stragglers may still be reading mapped label pages, and
 	// unmapping under a reader would fault. Queries entering after Close
-	// began are still answered from the not-yet-released resources.
+	// began are still answered from the not-yet-released map.
 	active atomic.Int64
-
-	mu      sync.Mutex
-	cache   *pageCache
-	loading map[int]*pageLoad // per-page singleflight for cache misses
 }
 
-// pageLoad is one in-flight page read; concurrent readers of the same page
-// wait on done instead of issuing a duplicate disk read.
-type pageLoad struct {
-	done chan struct{}
-	page []byte
-	err  error
-}
-
-type pageMeta struct {
-	off    uint64
-	length uint32
-	crc    uint32
-}
-
-// Open maps a diagram file for querying with the default cache size. The
-// file's real size is always known here, so version-2 files get their
-// whole-file checksum trailer verified before the first query.
+// Open maps a diagram file read-only and verifies it (see New). Where the
+// platform has no mmap or mapping fails, the whole file is read into memory
+// instead — same answers, same checks; Mapped reports which happened. The
+// file descriptor is closed before Open returns on every path.
 func Open(path string) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	s, err := NewSized(f, DefaultCacheSize, fi.Size())
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	s.closer = f
-	return s, nil
-}
-
-// OpenMmap opens a diagram file for zero-copy serving from a read-only
-// memory map: label pages are returned as subslices of the map, with no
-// page cache, no lock, and no per-read checksum — the whole-file trailer is
-// verified once here, which transitively covers every page. The arena and
-// points are still decoded once at open (the file is big-endian, so the
-// int32 arena cannot be aliased on little-endian hosts; it is small next to
-// the label pages).
-//
-// Fallback behavior: on platforms without mmap, on any map failure, or for
-// version-1 files (no trailer, so mapped pages would skip CRC verification),
-// OpenMmap degrades to the ReadAt page-cache path of Open — same answers,
-// same corruption detection. No file descriptor leaks on any error path;
-// Mapped reports which mode is active.
-func OpenMmap(path string) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	data, merr := mmapFile(f, fi.Size())
-	if merr != nil {
-		s, err := NewSized(f, DefaultCacheSize, fi.Size())
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		s.closer = f
-		return s, nil
-	}
-	s, err := NewSized(bytes.NewReader(data), DefaultCacheSize, fi.Size())
-	if err != nil {
-		_ = munmapFile(data)
-		f.Close()
-		return nil, err
-	}
-	if s.version < versionLegacyCells {
-		// No trailer to vouch for the map: keep the per-page-CRC path.
-		_ = munmapFile(data)
-		s, err = NewSized(f, DefaultCacheSize, fi.Size())
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		s.closer = f
-		return s, nil
-	}
-	s.mapped, s.unmapper = data, munmapFile
-	s.closer = f
-	return s, nil
-}
-
-// New builds a Store over any ReaderAt (a file, an mmap, a byte slice via
-// bytes.NewReader). When the reader can report its size — os.File via Stat,
-// bytes.Reader and strings.Reader via Size — the header's declared point and
-// page counts are validated against it before any buffer is allocated, so a
-// corrupt or malicious header fails fast instead of triggering a multi-GB
-// allocation. For readers of unknown size, use NewSized with an explicit
-// hint to get the same protection.
-func New(r io.ReaderAt, cacheSize int) (*Store, error) {
-	size := int64(-1)
-	switch sr := r.(type) {
-	case interface{ Stat() (os.FileInfo, error) }:
-		if fi, err := sr.Stat(); err == nil {
-			size = fi.Size()
-		}
-	case interface{ Size() int64 }:
-		size = sr.Size()
-	}
-	return NewSized(r, cacheSize, size)
-}
-
-// NewSized is New with an explicit reader size in bytes, bounding every
-// header-derived allocation. size < 0 means unknown (no size validation
-// beyond the structural header checks).
-func NewSized(r io.ReaderAt, cacheSize int, size int64) (*Store, error) {
-	var hdr [headerSize]byte
+	size := fi.Size()
 	if err := faultinject.Hit("store.ReadAt"); err != nil {
-		return nil, fmt.Errorf("store: read header: %w", err)
+		return nil, fmt.Errorf("store: read %s: %w", path, err)
 	}
-	if _, err := r.ReadAt(hdr[:], 0); err != nil {
-		return nil, fmt.Errorf("store: read header: %w", err)
+	data, err := mmapFile(f, size)
+	if err != nil {
+		if int64(int(size)) != size {
+			return nil, fmt.Errorf("store: %s: %d bytes do not fit in memory", path, size)
+		}
+		data = make([]byte, size)
+		if _, err := io.ReadFull(f, data); err != nil {
+			return nil, fmt.Errorf("store: read %s: %w", path, err)
+		}
+		return New(data)
 	}
-	if string(hdr[0:8]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[0:8])
+	s, err := New(data)
+	if err != nil {
+		_ = munmapFile(data)
+		return nil, err
 	}
+	s.mapped = true
+	return s, nil
+}
+
+// OpenMmap is Open.
+//
+// Deprecated: Open maps the file itself; use it.
+func OpenMmap(path string) (*Store, error) { return Open(path) }
+
+// New opens a store over a whole diagram file held in data, which the store
+// retains and the caller must not modify afterwards. Every check runs here,
+// once, before any header-declared count sizes a buffer: magic and version,
+// the trailer CRC over every preceding byte, the section layout, every page
+// CRC in the index, the arena CRC and CSR shape, every label (below the
+// arena's result count for a real cell, noCell exactly in the padding), and
+// the grid the points imply. Any failure wraps ErrCorrupt, except a version
+// other than 4 or a page shape other than CellsPerPage, which are reported
+// as unsupported.
+func New(data []byte) (*Store, error) {
 	be := binary.BigEndian
-	v := be.Uint32(hdr[8:])
-	if v != 1 && v != versionLegacyCells && v != versionNoEpoch && v != version {
+	size := int64(len(data))
+	if size < 12 {
+		return nil, fmt.Errorf("%w: %d bytes is too small for a header", ErrCorrupt, size)
+	}
+	if string(data[0:8]) != magic {
+		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[0:8])
+	}
+	if v := be.Uint32(data[8:]); v != version {
 		return nil, fmt.Errorf("store: unsupported version %d", v)
 	}
-	// Version-2 files carry a whole-file checksum trailer; verifying it up
-	// front turns any torn or bit-flipped region — even one no query would
-	// touch for days — into an immediate ErrCorrupt. Requires a known size;
-	// for size-unknown readers the per-page CRCs remain the only guard.
-	if v >= 2 && size >= 0 {
-		if err := verifyTrailer(r, size); err != nil {
-			return nil, err
-		}
+	// Verifying the trailer first turns any torn or bit-flipped region into
+	// ErrCorrupt before a single header field is trusted.
+	if err := verifyTrailer(data); err != nil {
+		return nil, err
 	}
 	s := &Store{
-		r:       r,
-		version: int(v),
-		dim:     int(be.Uint32(hdr[12:])),
-		cols:    int(be.Uint32(hdr[24:])),
-		rows:    int(be.Uint32(hdr[28:])),
-		kind:    int(be.Uint32(hdr[60:])),
-		size:    size,
+		data:  data,
+		cols:  int(be.Uint32(data[24:])),
+		rows:  int(be.Uint32(data[28:])),
+		kind:  int(be.Uint32(data[60:])),
+		epoch: be.Uint64(data[64:]),
 	}
-	hdrSize := headerSizeFor(s.version)
-	if s.version >= 4 {
-		// The epoch lives in the header extension; read it separately so
-		// shorter-headered versions never over-read.
-		var ext [headerSizeV4 - headerSize]byte
-		if err := faultinject.Hit("store.ReadAt"); err != nil {
-			return nil, fmt.Errorf("store: read header: %w", err)
-		}
-		if _, err := r.ReadAt(ext[:], headerSize); err != nil {
-			return nil, fmt.Errorf("store: read header: %w", err)
-		}
-		s.epoch = be.Uint64(ext[0:])
-	}
+	dim := int(be.Uint32(data[12:]))
 	if s.kind != kindQuadrant && s.kind != kindDynamic {
 		return nil, fmt.Errorf("%w: unknown diagram kind %d", ErrCorrupt, s.kind)
 	}
-	numPoints64 := be.Uint64(hdr[16:])
-	cpp := int(be.Uint32(hdr[32:]))
-	if cpp != CellsPerPage {
+	if cpp := be.Uint32(data[32:]); cpp != CellsPerPage {
 		return nil, fmt.Errorf("store: page shape %d not supported (want %d)", cpp, CellsPerPage)
 	}
-	numPages64 := be.Uint64(hdr[36:])
-	indexOffset := int64(be.Uint64(hdr[44:]))
-	if s.cols <= 0 || s.rows <= 0 || s.dim != 2 {
-		return nil, fmt.Errorf("%w: header: cols=%d rows=%d dim=%d", ErrCorrupt, s.cols, s.rows, s.dim)
+	if s.cols <= 0 || s.rows <= 0 || dim != 2 {
+		return nil, fmt.Errorf("%w: header: cols=%d rows=%d dim=%d", ErrCorrupt, s.cols, s.rows, dim)
 	}
-	// Bound every header-declared count BEFORE sizing a buffer from it: a
-	// corrupt header must fail cheaply, not allocate multi-GB slices that
-	// only a later CRC or grid check would reject.
+	// Bound every header-declared count against the file size before
+	// slicing or allocating with it.
 	if int64(s.cols)*int64(s.rows) > math.MaxInt32 {
 		return nil, fmt.Errorf("%w: header: %dx%d cells", ErrCorrupt, s.cols, s.rows)
 	}
-	wantPages := (s.cols*s.rows + CellsPerPage - 1) / CellsPerPage
-	if numPages64 != uint64(wantPages) {
-		return nil, fmt.Errorf("%w: header claims %d pages for %d cells", ErrCorrupt, numPages64, s.cols*s.rows)
+	cells := s.cols * s.rows
+	numPages := (cells + CellsPerPage - 1) / CellsPerPage
+	if got := be.Uint64(data[36:]); got != uint64(numPages) {
+		return nil, fmt.Errorf("%w: header claims %d pages for %d cells", ErrCorrupt, got, cells)
 	}
-	s.numPages = wantPages
-	recordSize := int64(8 + 8*s.dim)
-	if numPoints64 > uint64((math.MaxInt64-int64(hdrSize))/recordSize) {
-		return nil, fmt.Errorf("%w: header: %d points", ErrCorrupt, numPoints64)
-	}
-	pointsBytes := int64(numPoints64) * recordSize
-	// The writer lays the index immediately after the points, so the two
-	// header fields must agree — a cheap structural check that catches a
-	// corrupted point count even when the reader size is unknown.
-	if indexOffset != int64(hdrSize)+pointsBytes {
-		return nil, fmt.Errorf("%w: header claims %d points but index offset %d (want %d)",
-			ErrCorrupt, numPoints64, indexOffset, int64(hdrSize)+pointsBytes)
-	}
-	if size >= 0 {
-		if int64(hdrSize)+pointsBytes > size {
-			return nil, fmt.Errorf("%w: header claims %d points (%d bytes) but reader holds %d bytes",
-				ErrCorrupt, numPoints64, pointsBytes, size)
-		}
-		indexBytes := int64(s.numPages) * indexEntrySz
-		if indexOffset < int64(hdrSize) || indexOffset > size-indexBytes {
-			return nil, fmt.Errorf("%w: header claims a %d-byte page index at offset %d but reader holds %d bytes",
-				ErrCorrupt, indexBytes, indexOffset, size)
-		}
+	const recordSize = 8 + 8*2
+	numPoints64 := be.Uint64(data[16:])
+	if numPoints64 > uint64(size-headerSize)/recordSize {
+		return nil, fmt.Errorf("%w: header claims %d points but the file holds %d bytes",
+			ErrCorrupt, numPoints64, size)
 	}
 	numPoints := int(numPoints64)
+	// The writer lays the sections back to back: header, points, index,
+	// pages, arena, trailer. Every offset the header declares must agree.
+	indexOff := int64(headerSize) + int64(numPoints)*recordSize
+	pagesOff := indexOff + int64(numPages)*indexEntrySz
+	arenaOff := pagesOff + int64(numPages)*pageBytes
+	if got := int64(be.Uint64(data[44:])); got != indexOff {
+		return nil, fmt.Errorf("%w: header puts the index at %d (want %d for %d points)",
+			ErrCorrupt, got, indexOff, numPoints)
+	}
+	if got := int64(be.Uint64(data[52:])); got != pagesOff {
+		return nil, fmt.Errorf("%w: header puts the pages at %d (want %d)", ErrCorrupt, got, pagesOff)
+	}
+	if arenaOff > size-trailerSize {
+		return nil, fmt.Errorf("%w: %d label pages overrun the %d-byte file", ErrCorrupt, numPages, size)
+	}
 
-	// Points.
-	ptsBuf := make([]byte, pointsBytes)
-	if err := faultinject.Hit("store.ReadAt"); err != nil {
-		return nil, fmt.Errorf("store: read points: %w", err)
-	}
-	if _, err := r.ReadAt(ptsBuf, int64(hdrSize)); err != nil {
-		return nil, fmt.Errorf("store: read points: %w", err)
-	}
-	s.points = make([]geom.Point, numPoints)
-	off := 0
-	for i := 0; i < numPoints; i++ {
-		id := int64(be.Uint64(ptsBuf[off:]))
-		off += 8
-		coords := make([]float64, s.dim)
-		for a := 0; a < s.dim; a++ {
-			coords[a] = math.Float64frombits(be.Uint64(ptsBuf[off:]))
-			off += 8
+	// Page index: every entry names its page exactly and matches its CRC.
+	for pg := 0; pg < numPages; pg++ {
+		e := data[indexOff+int64(pg)*indexEntrySz:]
+		off := pagesOff + int64(pg)*pageBytes
+		if be.Uint64(e) != uint64(off) || be.Uint32(e[8:]) != pageBytes {
+			return nil, fmt.Errorf("%w: index entry %d names %d bytes at %d (want %d at %d)",
+				ErrCorrupt, pg, be.Uint32(e[8:]), be.Uint64(e), pageBytes, off)
 		}
-		s.points[i] = geom.Point{ID: int(id), Coords: coords}
+		if crc32.ChecksumIEEE(data[off:off+pageBytes]) != be.Uint32(e[12:]) {
+			return nil, fmt.Errorf("%w: page %d checksum mismatch", ErrCorrupt, pg)
+		}
 	}
+	table, err := decodeArena(data[arenaOff:size-trailerSize], cells, numPoints)
+	if err != nil {
+		return nil, err
+	}
+	s.table = table
+	s.labels = data[pagesOff:arenaOff]
+	if err := s.checkLabels(); err != nil {
+		return nil, err
+	}
+
+	// Points, then the grid they imply.
+	s.points = make([]geom.Point, numPoints)
+	off := headerSize
+	for i := range s.points {
+		id := int64(be.Uint64(data[off:]))
+		x := math.Float64frombits(be.Uint64(data[off+8:]))
+		y := math.Float64frombits(be.Uint64(data[off+16:]))
+		off += recordSize
+		// No diagram is built over a NaN or infinite coordinate, and the
+		// grid rebuild below would not terminate on one.
+		if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) {
+			return nil, fmt.Errorf("%w: point %d has a non-finite coordinate (%v, %v)", ErrCorrupt, i, x, y)
+		}
+		s.points[i] = geom.Point{ID: int(id), Coords: []float64{x, y}}
+	}
+	var xs, ys []float64
 	if s.kind == kindDynamic {
 		sg := grid.NewSubGrid(s.points)
 		if sg.Cols() != s.cols || sg.Rows() != s.rows {
 			return nil, fmt.Errorf("%w: points imply a %dx%d subgrid, header says %dx%d",
 				ErrCorrupt, sg.Cols(), sg.Rows(), s.cols, s.rows)
 		}
-		s.xs = make([]float64, len(sg.XLines))
+		xs = make([]float64, len(sg.XLines))
 		for i, l := range sg.XLines {
-			s.xs[i] = l.V
+			xs[i] = l.V
 		}
-		s.ys = make([]float64, len(sg.YLines))
+		ys = make([]float64, len(sg.YLines))
 		for i, l := range sg.YLines {
-			s.ys[i] = l.V
+			ys[i] = l.V
 		}
 	} else {
 		g := grid.NewGrid(s.points)
@@ -791,137 +610,104 @@ func NewSized(r io.ReaderAt, cacheSize int, size int64) (*Store, error) {
 			return nil, fmt.Errorf("%w: points imply a %dx%d grid, header says %dx%d",
 				ErrCorrupt, g.Cols(), g.Rows(), s.cols, s.rows)
 		}
-		s.xs, s.ys = g.Xs, g.Ys
+		xs, ys = g.Xs, g.Ys
 	}
-	s.xrank, s.yrank = grid.NewRank(s.xs), grid.NewRank(s.ys)
-
-	// Page index.
-	idxBuf := make([]byte, s.numPages*indexEntrySz)
-	if err := faultinject.Hit("store.ReadAt"); err != nil {
-		return nil, fmt.Errorf("store: read index: %w", err)
-	}
-	if _, err := r.ReadAt(idxBuf, indexOffset); err != nil {
-		return nil, fmt.Errorf("store: read index: %w", err)
-	}
-	s.pageIndex = make([]pageMeta, s.numPages)
-	for pg := 0; pg < s.numPages; pg++ {
-		e := idxBuf[pg*indexEntrySz:]
-		s.pageIndex[pg] = pageMeta{
-			off:    be.Uint64(e),
-			length: be.Uint32(e[8:]),
-			crc:    be.Uint32(e[12:]),
-		}
-	}
-	if size >= 0 {
-		for pg, meta := range s.pageIndex {
-			if meta.off > uint64(size) || uint64(meta.length) > uint64(size)-meta.off {
-				return nil, fmt.Errorf("%w: page %d (%d bytes at offset %d) overruns the %d-byte reader",
-					ErrCorrupt, pg, meta.length, meta.off, size)
-			}
-		}
-	}
-	if s.version >= 3 {
-		// Label pages are fixed-size; anything else is structural damage.
-		for pg, meta := range s.pageIndex {
-			if meta.length != 4*CellsPerPage {
-				return nil, fmt.Errorf("%w: label page %d is %d bytes (want %d)",
-					ErrCorrupt, pg, meta.length, 4*CellsPerPage)
-			}
-		}
-		last := s.pageIndex[s.numPages-1]
-		if err := s.loadArena(int64(last.off)+int64(last.length), size, numPoints); err != nil {
-			return nil, err
-		}
-	}
-	if cacheSize <= 0 {
-		cacheSize = DefaultCacheSize
-	}
-	s.cache = newPageCache(cacheSize)
-	s.loading = make(map[int]*pageLoad)
+	s.xrank, s.yrank = grid.NewRank(xs), grid.NewRank(ys)
 	return s, nil
 }
 
-// loadArena reads, bounds-checks, and CRC-verifies the version-3 arena
-// section starting at arenaOff, leaving the interned table in s.table.
-func (s *Store) loadArena(arenaOff, size int64, numPoints int) error {
+// verifyTrailer checks the whole-file checksum against the trailer.
+func verifyTrailer(data []byte) error {
+	if len(data) < headerSize+trailerSize {
+		return fmt.Errorf("%w: %d bytes is too small for a header and trailer", ErrCorrupt, len(data))
+	}
+	body, tr := data[:len(data)-trailerSize], data[len(data)-trailerSize:]
+	if string(tr[0:8]) != trailerMagic {
+		return fmt.Errorf("%w: missing trailer (torn write?)", ErrCorrupt)
+	}
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(tr[8:]) {
+		return fmt.Errorf("%w: full-file checksum mismatch", ErrCorrupt)
+	}
+	return nil
+}
+
+// decodeArena bounds-checks, CRC-verifies and decodes the arena section b,
+// which must run exactly up to the trailer.
+func decodeArena(b []byte, cells, numPoints int) (*resultset.Table, error) {
 	be := binary.BigEndian
-	var head [8]byte
-	if err := faultinject.Hit("store.ReadAt"); err != nil {
-		return fmt.Errorf("store: read arena: %w", err)
+	if len(b) < 8 {
+		return nil, fmt.Errorf("%w: arena header overruns the file", ErrCorrupt)
 	}
-	if _, err := s.r.ReadAt(head[:], arenaOff); err != nil {
-		return fmt.Errorf("store: read arena: %w", err)
-	}
-	numResults := uint64(be.Uint32(head[0:]))
-	totalIDs := uint64(be.Uint32(head[4:]))
-	// Bound both counts before allocating: at most one result per cell, and
-	// every result id names a stored point, so totalIDs ≤ results × points.
-	if numResults > uint64(s.cols)*uint64(s.rows)+1 {
-		return fmt.Errorf("%w: arena claims %d results for %d cells", ErrCorrupt, numResults, s.cols*s.rows)
+	numResults := uint64(be.Uint32(b[0:]))
+	totalIDs := uint64(be.Uint32(b[4:]))
+	// At most one result per cell, and every result id names a stored
+	// point, so totalIDs ≤ results × points.
+	if numResults > uint64(cells)+1 {
+		return nil, fmt.Errorf("%w: arena claims %d results for %d cells", ErrCorrupt, numResults, cells)
 	}
 	if totalIDs > numResults*uint64(numPoints) {
-		return fmt.Errorf("%w: arena claims %d ids for %d results over %d points",
+		return nil, fmt.Errorf("%w: arena claims %d ids for %d results over %d points",
 			ErrCorrupt, totalIDs, numResults, numPoints)
 	}
-	bodyLen := 4*int64(numResults+1) + 4*int64(totalIDs) + 4
-	if size >= 0 && arenaOff+8+bodyLen > size-trailerSize {
-		return fmt.Errorf("%w: arena (%d bytes at offset %d) overruns the %d-byte reader",
-			ErrCorrupt, 8+bodyLen, arenaOff, size)
+	if want := 8 + 4*(numResults+1) + 4*totalIDs + 4; uint64(len(b)) != want {
+		return nil, fmt.Errorf("%w: arena is %d bytes, its counts say %d", ErrCorrupt, len(b), want)
 	}
-	body := make([]byte, bodyLen)
-	if err := faultinject.Hit("store.ReadAt"); err != nil {
-		return fmt.Errorf("store: read arena: %w", err)
-	}
-	if _, err := s.r.ReadAt(body, arenaOff+8); err != nil {
-		return fmt.Errorf("store: read arena: %w", err)
-	}
-	sum := crc32.ChecksumIEEE(head[:])
-	sum = crc32.Update(sum, crc32.IEEETable, body[:bodyLen-4])
-	if want := be.Uint32(body[bodyLen-4:]); sum != want {
-		return fmt.Errorf("%w: arena checksum mismatch", ErrCorrupt)
+	if crc32.ChecksumIEEE(b[:len(b)-4]) != be.Uint32(b[len(b)-4:]) {
+		return nil, fmt.Errorf("%w: arena checksum mismatch", ErrCorrupt)
 	}
 	offsets := make([]uint32, numResults+1)
-	off := 0
+	off := 8
 	for i := range offsets {
-		offsets[i] = be.Uint32(body[off:])
+		offsets[i] = be.Uint32(b[off:])
 		off += 4
 	}
 	ids := make([]int32, totalIDs)
 	for i := range ids {
-		ids[i] = int32(be.Uint32(body[off:]))
+		ids[i] = int32(be.Uint32(b[off:]))
 		off += 4
 	}
 	t, ok := resultset.NewTable(offsets, ids)
 	if !ok {
-		return fmt.Errorf("%w: arena offsets are not a valid CSR table", ErrCorrupt)
+		return nil, fmt.Errorf("%w: arena offsets are not a valid CSR table", ErrCorrupt)
 	}
-	s.table = t
+	return t, nil
+}
+
+// checkLabels verifies that every real cell's label names an arena result
+// and that the padding past the last cell holds noCell and nothing else, so
+// no query can ever index past the arena.
+func (s *Store) checkLabels() error {
+	be := binary.BigEndian
+	cells := s.cols * s.rows
+	n := uint32(s.table.NumResults())
+	for c := 0; c < cells; c++ {
+		if l := be.Uint32(s.labels[4*c:]); l >= n {
+			return fmt.Errorf("%w: cell %d label %d out of range (%d results)", ErrCorrupt, c, l, n)
+		}
+	}
+	for c := cells; 4*c < len(s.labels); c++ {
+		if l := be.Uint32(s.labels[4*c:]); l != noCell {
+			return fmt.Errorf("%w: padding slot %d holds label %d", ErrCorrupt, c, l)
+		}
+	}
 	return nil
 }
 
-// Close releases the memory map (if any) and the underlying file when the
-// store owns one. In-flight queries are drained first (bounded wait), so a
-// replica may swap a newer snapshot in and close this one while stragglers
-// are still reading mapped pages — they finish against the live mapping,
-// then the map is released.
+// Close releases the memory map, if any. In-flight queries are drained
+// first (bounded wait), so a replica may swap a newer snapshot in and close
+// this one while stragglers are still reading mapped pages — they finish
+// against the live mapping, then the map is released.
 func (s *Store) Close() error {
-	// Drain active readers before unmapping. The wait is bounded: queries
-	// are microseconds, so exhausting it means a stuck reader — at that
-	// point leaking the map briefly beats faulting it.
+	if !s.mapped {
+		return nil
+	}
+	// The wait is bounded: queries are microseconds, so exhausting it means
+	// a stuck reader — at that point leaking the map briefly beats faulting
+	// it.
 	for i := 0; s.active.Load() != 0 && i < 4000; i++ {
 		time.Sleep(500 * time.Microsecond)
 	}
-	var err error
-	if s.mapped != nil && s.unmapper != nil {
-		err = s.unmapper(s.mapped)
-		s.mapped = nil
-	}
-	if s.closer != nil {
-		if cerr := s.closer.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return munmapFile(s.data)
 }
 
 // Points returns the stored dataset.
@@ -931,24 +717,17 @@ func (s *Store) Points() []geom.Point { return s.points }
 func (s *Store) NumCells() int { return s.cols * s.rows }
 
 // Epoch returns the replication epoch stamped by the builder that published
-// this snapshot, or 0 for pre-epoch (version <= 3) files.
+// this snapshot (0 for an unversioned one).
 func (s *Store) Epoch() uint64 { return s.epoch }
 
 // WriteTo streams the snapshot file verbatim to w, letting a replica serve
 // the catch-up protocol from its own current file (chained replication) with
-// no re-serialization. Requires the file size to have been known at open
-// (Open, OpenMmap, or a sized reader).
+// no re-serialization.
 func (s *Store) WriteTo(w io.Writer) (int64, error) {
-	if s.size < 0 {
-		return 0, errors.New("store: snapshot size unknown; cannot re-stream")
-	}
-	if s.mapped != nil {
-		s.active.Add(1)
-		defer s.active.Add(-1)
-		n, err := w.Write(s.mapped)
-		return int64(n), err
-	}
-	return io.Copy(w, io.NewSectionReader(s.r, 0, s.size))
+	s.active.Add(1)
+	defer s.active.Add(-1)
+	n, err := w.Write(s.data)
+	return int64(n), err
 }
 
 // Kind returns the stored diagram kind, "quadrant" or "dynamic".
@@ -959,9 +738,9 @@ func (s *Store) Kind() string {
 	return "quadrant"
 }
 
-// Mapped reports whether the store serves from a memory map (OpenMmap
-// succeeded) rather than the ReadAt page cache.
-func (s *Store) Mapped() bool { return s.mapped != nil }
+// Mapped reports whether the store serves from a memory map rather than a
+// copy of the file in memory.
+func (s *Store) Mapped() bool { return s.mapped }
 
 // LocateXY returns the cell indices containing (x, y), O(1) via the rank
 // tables. The boundary conventions match the in-memory grids exactly.
@@ -971,300 +750,32 @@ func (s *Store) LocateXY(x, y float64) (i, j int) {
 
 // Query answers a skyline query from the file.
 func (s *Store) Query(q geom.Point) ([]int32, error) {
-	i, j := s.LocateXY(q.X(), q.Y())
-	return s.Cell(i, j)
+	return s.QueryXY(q.X(), q.Y()), nil
 }
 
-// QueryXY answers a skyline query without the geom.Point wrapper or an
-// error return — the serving hot path. Version-3 stores answer with zero
-// allocations (the result aliases the shared arena); on a mapped store the
-// whole path is lock-free. A nil result means an empty skyline; read errors
-// on the ReadAt path also surface as nil (the paths that can fail per-read
-// are exercised through Query/Cell, which report them).
+// QueryXY answers a skyline query without the geom.Point wrapper — the
+// serving hot path. It allocates nothing and takes no lock: the result
+// aliases the shared arena and must not be modified.
 func (s *Store) QueryXY(x, y float64) []int32 {
 	s.active.Add(1)
 	defer s.active.Add(-1)
 	i, j := s.LocateXY(x, y)
-	cell := i*s.rows + j
-	if s.mapped != nil && s.version >= 3 {
-		meta := s.pageIndex[cell/CellsPerPage]
-		page := s.mapped[meta.off : meta.off+uint64(meta.length)]
-		label := binary.BigEndian.Uint32(page[4*(cell%CellsPerPage):])
-		if label == noCell || int(label) >= s.table.NumResults() {
-			return nil
-		}
-		return s.table.Result(label)
-	}
-	ids, err := s.Cell(i, j)
-	if err != nil {
-		return nil
-	}
-	return ids
+	return s.result(i*s.rows + j)
 }
 
-// Cell reads the result of cell (i, j). For version-3 files the returned
-// slice aliases the shared arena and must not be modified; earlier formats
-// decode a fresh slice from the page payload.
+// Cell returns the result of cell (i, j). The slice aliases the shared arena
+// and must not be modified.
 func (s *Store) Cell(i, j int) ([]int32, error) {
-	s.active.Add(1)
-	defer s.active.Add(-1)
 	if i < 0 || j < 0 || i >= s.cols || j >= s.rows {
 		return nil, fmt.Errorf("store: cell (%d,%d) out of range %dx%d", i, j, s.cols, s.rows)
 	}
-	cellIdx := i*s.rows + j
-	pg := cellIdx / CellsPerPage
-	local := cellIdx % CellsPerPage
-	page, err := s.page(pg)
-	if err != nil {
-		return nil, err
-	}
-	be := binary.BigEndian
-	if s.version >= 3 {
-		label := be.Uint32(page[4*local:])
-		if label == noCell {
-			return nil, fmt.Errorf("store: page %d has no cell %d", pg, local)
-		}
-		if int(label) >= s.table.NumResults() {
-			return nil, fmt.Errorf("%w: cell %d label %d out of range (%d results)",
-				ErrCorrupt, cellIdx, label, s.table.NumResults())
-		}
-		return s.table.Result(label), nil
-	}
-	off := be.Uint32(page[4*local:])
-	if off == 0xFFFFFFFF || int(off)+4 > len(page) {
-		return nil, fmt.Errorf("store: page %d has no cell %d", pg, local)
-	}
-	count := be.Uint32(page[off:])
-	if int(off)+4+4*int(count) > len(page) {
-		return nil, fmt.Errorf("store: cell %d payload overruns page %d", local, pg)
-	}
-	ids := make([]int32, count)
-	for k := range ids {
-		ids[k] = int32(be.Uint32(page[int(off)+4+4*k:]))
-	}
-	return ids, nil
+	s.active.Add(1)
+	defer s.active.Add(-1)
+	return s.result(i*s.rows + j), nil
 }
 
-// page returns the decoded page, loading it on a cache miss. The store
-// mutex covers only cache bookkeeping: the disk read and CRC verification
-// run outside it, so readers of distinct pages proceed concurrently, and a
-// per-page singleflight ensures concurrent readers of the SAME page share
-// one disk read instead of duplicating it.
-func (s *Store) page(pg int) ([]byte, error) {
-	if s.mapped != nil {
-		meta := s.pageIndex[pg]
-		return s.mapped[meta.off : meta.off+uint64(meta.length)], nil
-	}
-	s.mu.Lock()
-	if b, ok := s.cache.get(pg); ok {
-		s.mu.Unlock()
-		return b, nil
-	}
-	if l, ok := s.loading[pg]; ok {
-		s.mu.Unlock()
-		<-l.done
-		return l.page, l.err
-	}
-	l := &pageLoad{done: make(chan struct{})}
-	s.loading[pg] = l
-	s.mu.Unlock()
-
-	l.page, l.err = s.loadPage(pg)
-
-	s.mu.Lock()
-	if l.err == nil {
-		s.cache.put(pg, l.page)
-	}
-	delete(s.loading, pg)
-	s.mu.Unlock()
-	close(l.done)
-	return l.page, l.err
-}
-
-// loadPage reads and CRC-verifies one page from the underlying reader.
-func (s *Store) loadPage(pg int) ([]byte, error) {
-	meta := s.pageIndex[pg]
-	buf := make([]byte, meta.length)
-	if err := faultinject.Hit("store.page.read"); err != nil {
-		return nil, fmt.Errorf("store: read page %d: %w", pg, err)
-	}
-	if _, err := s.r.ReadAt(buf, int64(meta.off)); err != nil {
-		return nil, fmt.Errorf("store: read page %d: %w", pg, err)
-	}
-	if err := faultinject.Hit("store.page.crc"); err != nil {
-		return nil, fmt.Errorf("%w: page %d checksum mismatch (%v)", ErrCorrupt, pg, err)
-	}
-	if got := crc32.ChecksumIEEE(buf); got != meta.crc {
-		return nil, fmt.Errorf("%w: page %d checksum mismatch", ErrCorrupt, pg)
-	}
-	return buf, nil
-}
-
-// verifyTrailer checks a version-2 file's whole-payload checksum against its
-// trailer. Checksum or structure problems wrap ErrCorrupt; read failures are
-// returned as plain I/O errors.
-func verifyTrailer(r io.ReaderAt, size int64) error {
-	if size < headerSize+trailerSize {
-		return fmt.Errorf("%w: %d bytes is too small for a trailer", ErrCorrupt, size)
-	}
-	var tr [trailerSize]byte
-	if err := faultinject.Hit("store.ReadAt"); err != nil {
-		return fmt.Errorf("store: read trailer: %w", err)
-	}
-	if _, err := r.ReadAt(tr[:], size-trailerSize); err != nil {
-		return fmt.Errorf("store: read trailer: %w", err)
-	}
-	if string(tr[0:8]) != trailerMagic {
-		return fmt.Errorf("%w: missing trailer (torn write?)", ErrCorrupt)
-	}
-	want := binary.BigEndian.Uint32(tr[8:])
-	sum := crc32.NewIEEE()
-	buf := make([]byte, 256<<10)
-	for off := int64(0); off < size-trailerSize; {
-		n := int64(len(buf))
-		if rest := size - trailerSize - off; rest < n {
-			n = rest
-		}
-		if err := faultinject.Hit("store.ReadAt"); err != nil {
-			return fmt.Errorf("store: verify read at %d: %w", off, err)
-		}
-		if _, err := r.ReadAt(buf[:n], off); err != nil {
-			return fmt.Errorf("store: verify read at %d: %w", off, err)
-		}
-		sum.Write(buf[:n])
-		off += n
-	}
-	if sum.Sum32() != want {
-		return fmt.Errorf("%w: full-file checksum mismatch", ErrCorrupt)
-	}
-	return nil
-}
-
-// QueryBatch answers many queries with page-ordered access: queries are
-// grouped by the page their cell lives on, so each page is loaded and
-// checksummed at most once per batch even when the cache is cold or smaller
-// than the working set. Results are returned in input order.
-func (s *Store) QueryBatch(qs []geom.Point) ([][]int32, error) {
-	type slot struct {
-		cell int
-		out  int
-	}
-	byPage := make(map[int][]slot)
-	for k, q := range qs {
-		i, j := s.LocateXY(q.X(), q.Y())
-		cell := i*s.rows + j
-		pg := cell / CellsPerPage
-		byPage[pg] = append(byPage[pg], slot{cell: cell, out: k})
-	}
-	pages := make([]int, 0, len(byPage))
-	for pg := range byPage {
-		pages = append(pages, pg)
-	}
-	sortInts(pages)
-	results := make([][]int32, len(qs))
-	for _, pg := range pages {
-		for _, sl := range byPage[pg] {
-			ids, err := s.Cell(sl.cell/s.rows, sl.cell%s.rows)
-			if err != nil {
-				return nil, err
-			}
-			results[sl.out] = ids
-		}
-	}
-	return results, nil
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// CacheStats reports cache effectiveness.
-func (s *Store) CacheStats() (hits, misses int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cache.hits, s.cache.misses
-}
-
-// --- LRU page cache ----------------------------------------------------------
-
-type cacheNode struct {
-	key        int
-	page       []byte
-	prev, next *cacheNode
-}
-
-type pageCache struct {
-	capacity     int
-	m            map[int]*cacheNode
-	head, tail   *cacheNode // head = most recent
-	hits, misses int64
-}
-
-func newPageCache(capacity int) *pageCache {
-	return &pageCache{capacity: capacity, m: make(map[int]*cacheNode, capacity)}
-}
-
-func (c *pageCache) get(key int) ([]byte, bool) {
-	n, ok := c.m[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.moveToFront(n)
-	return n.page, true
-}
-
-func (c *pageCache) put(key int, page []byte) {
-	if n, ok := c.m[key]; ok {
-		n.page = page
-		c.moveToFront(n)
-		return
-	}
-	n := &cacheNode{key: key, page: page}
-	c.m[key] = n
-	c.pushFront(n)
-	if len(c.m) > c.capacity {
-		evict := c.tail
-		c.unlink(evict)
-		delete(c.m, evict.key)
-	}
-}
-
-func (c *pageCache) pushFront(n *cacheNode) {
-	n.prev = nil
-	n.next = c.head
-	if c.head != nil {
-		c.head.prev = n
-	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
-	}
-}
-
-func (c *pageCache) unlink(n *cacheNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		c.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		c.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (c *pageCache) moveToFront(n *cacheNode) {
-	if c.head == n {
-		return
-	}
-	c.unlink(n)
-	c.pushFront(n)
+// result resolves a row-major cell index through its label, which New has
+// already checked against the arena.
+func (s *Store) result(cell int) []int32 {
+	return s.table.Result(binary.BigEndian.Uint32(s.labels[4*cell:]))
 }
